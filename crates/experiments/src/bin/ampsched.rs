@@ -306,8 +306,8 @@ fn main() {
         std::process::exit(0);
     }
 
-    // The daemon runs standalone: it owns its own profiling (per job)
-    // and never uses the CLI's csv/json/profile plumbing.
+    // The daemon runs standalone: its workers profile through the same
+    // memo, and it never uses the CLI's csv/json/profile plumbing.
     if command == "serve" {
         let mut config = serve::ServeConfig::default();
         if let Some(addr) = serve_addr {
@@ -396,15 +396,16 @@ fn main() {
         timing::set_stream_sampling(true);
     }
     let needs_predictors = command == "all" || report::needs_predictors(&command);
-    let preds = if needs_predictors {
+    let cell = if needs_predictors {
         eprintln!("[profiling {} representative benchmarks ...]", 9);
         Some(
             prof.borrow_mut()
-                .time("profiling", || profiling::predictors(&params)),
+                .time("profiling", || profiling::profile(&params)),
         )
     } else {
         None
     };
+    let preds = cell.as_ref().map(|c| &c.predictors);
 
     // Machine-readable report sections, keyed by figure; written as one
     // JSON document at exit when --json is given.
@@ -426,25 +427,25 @@ fn main() {
         }
         "fig3" => {
             println!("Figure 3 — IPC/Watt ratio matrix (INT core / FP core)\n");
-            let matrix = &preds.as_ref().expect("predictors").matrix;
+            let matrix = &preds.expect("predictors").matrix;
             println!("{}", profiling::render_matrix(matrix));
             report.borrow_mut().push(("fig3".into(), profiling::matrix_to_json(matrix)));
         }
         "fig4" => {
             println!("Figure 4 — fitted ratio surface\n");
-            let surface = &preds.as_ref().expect("predictors").surface;
+            let surface = &preds.expect("predictors").surface;
             println!("{}", profiling::render_surface(surface));
             report.borrow_mut().push(("fig4".into(), profiling::surface_to_json(surface)));
         }
         "fig6" => {
             println!("Figure 6 — window/history sensitivity\n");
-            let pts = fig6::run(&params, preds.as_ref().expect("predictors"));
+            let pts = fig6::run(&params, preds.expect("predictors"));
             println!("{}", fig6::render(&pts));
             report.borrow_mut().push(("fig6".into(), fig6::to_json(&pts)));
         }
         "fig7" | "fig8" | "fig9" | "figs789" => {
             eprintln!("[running {}-pair sweep under 3 schedulers ...]", params.num_pairs);
-            let sweep = fig78::run_sweep(&params, preds.as_ref().expect("predictors"));
+            let sweep = fig78::run_sweep(&params, preds.expect("predictors"));
             if let Some(path) = &csv_path {
                 let mut f = std::fs::File::create(path).expect("create csv file");
                 fig78::write_sweep_csv(&sweep, &mut f).expect("write csv");
@@ -476,13 +477,13 @@ fn main() {
         }
         "overhead" => {
             println!("Section VI-C — swap-overhead sensitivity\n");
-            let pts = overhead::run(&params, preds.as_ref().expect("predictors"));
+            let pts = overhead::run(&params, preds.expect("predictors"));
             println!("{}", overhead::render(&pts));
             report.borrow_mut().push(("overhead".into(), overhead::to_json(&pts)));
         }
         "rr-interval" => {
             println!("Section VII — Round Robin decision-interval comparison\n");
-            let r = rr_interval::run(&params, preds.as_ref().expect("predictors"));
+            let r = rr_interval::run(&params, preds.expect("predictors"));
             println!("{}", rr_interval::render(&r));
             report.borrow_mut().push(("rr_interval".into(), rr_interval::to_json(&r)));
         }
@@ -499,7 +500,7 @@ fn main() {
         }
         "ablation" => {
             println!("Ablation battery (all variants vs static baseline)\n");
-            let rows = ablation::run(&params, preds.as_ref().expect("predictors"));
+            let rows = ablation::run(&params, preds.expect("predictors"));
             println!("{}", ablation::render(&rows));
             report.borrow_mut().push(("ablation".into(), ablation::to_json(&rows)));
         }
@@ -512,7 +513,7 @@ fn main() {
         "regret" => {
             println!("Regret — every scheduler vs the clairvoyant oracle\n");
             eprintln!("[racing {}-pair corpus against the offline DP oracle ...]", params.num_pairs);
-            let r = regret::run(&params, preds.as_ref().expect("predictors"));
+            let r = regret::run(&params, preds.expect("predictors"));
             println!("{}", regret::render(&r));
             report.borrow_mut().push(("regret".into(), regret::to_json(&r)));
         }
@@ -539,7 +540,7 @@ fn main() {
         timed("derive-rules");
         timed("fig6");
         eprintln!("[running {}-pair sweep under 3 schedulers ...]", params.num_pairs);
-        let run_sweep = || fig78::run_sweep(&params, preds.as_ref().expect("predictors"));
+        let run_sweep = || fig78::run_sweep(&params, preds.expect("predictors"));
         let sweep = if profile {
             prof.borrow_mut().time("figs789", run_sweep)
         } else {

@@ -33,7 +33,8 @@ pub fn run(params: &Params) -> Vec<Fig1Row> {
     parallel_map(&names, |name| {
         let spec = suite::by_name(name).expect("fig1 benchmark");
         // Both cores replay the same arena stream: one materialization
-        // serves the A and B runs (and the profiling pass, same seed).
+        // serves the A and B runs. (The profiling pass frees its streams
+        // after its own two runs, so fig1 never shares them.)
         let mut w = params.workload_for_thread(spec.clone(), params.seed, 0);
         let a = run_alone_with(
             CoreConfig::fp_core(),

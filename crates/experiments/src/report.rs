@@ -60,9 +60,10 @@ pub fn params_json(params: &Params) -> Json {
 
 /// Assemble the full report document: `command`, `params`, the given
 /// sections in order, then the `telemetry` block. The CLI passes the
-/// live `sim.*` snapshot; the server passes a per-request delta
-/// snapshot (which is identical for a deterministic command — see
-/// `ampsched_obs::metrics::Snapshot::delta`).
+/// live `sim.*` snapshot; the server passes the job's delta snapshot
+/// merged with the memoized profiling phase's (which is identical for a
+/// deterministic command — see `ampsched_obs::metrics::Snapshot::delta`
+/// and `Snapshot::merge`).
 pub fn assemble(
     command: &str,
     params: &Params,
@@ -78,18 +79,22 @@ pub fn assemble(
     Json::Obj(all)
 }
 
-/// Run `command` headlessly and return its report sections, running the
-/// offline profiling phase first when the command needs predictors —
-/// exactly what the CLI contributes to the document between `params`
-/// and `telemetry`. Returns `Err` for commands outside
+/// Run `command` headlessly and return its report sections — exactly
+/// what the CLI contributes to the document between `params` and
+/// `telemetry`. `preds` carries the profiled predictors for commands
+/// that [`needs_predictors`]; the caller obtains them (from
+/// [`profiling::profile`]) so it can account for the profiling phase's
+/// telemetry itself. Returns `Err` for commands outside
 /// [`SERVABLE_COMMANDS`].
-pub fn compute_sections(command: &str, params: &Params) -> Result<Vec<(String, Json)>, String> {
-    let preds: Option<Predictors> = if needs_predictors(command) {
-        Some(profiling::predictors(params))
-    } else {
-        None
-    };
-    let preds = |()| preds.as_ref().expect("predictors computed above");
+///
+/// # Panics
+/// If `command` needs predictors and `preds` is `None`.
+pub fn compute_sections(
+    command: &str,
+    params: &Params,
+    preds: Option<&Predictors>,
+) -> Result<Vec<(String, Json)>, String> {
+    let preds = |()| preds.expect("this command needs profiled predictors");
     let sections = match command {
         "fig1" => vec![("fig1".to_string(), fig1::to_json(&fig1::run(params)))],
         "fig3" => vec![(
@@ -181,6 +186,6 @@ mod tests {
 
     #[test]
     fn unknown_command_is_rejected() {
-        assert!(compute_sections("nope", &Params::quick()).is_err());
+        assert!(compute_sections("nope", &Params::quick(), None).is_err());
     }
 }

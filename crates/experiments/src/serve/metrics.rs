@@ -20,6 +20,7 @@
 //! | `serve.coalesce` | `/run` that joined an in-flight computation |
 //! | `serve.job.execute` | jobs a worker actually ran |
 //! | `serve.job.panic` | jobs that panicked (answered 500, not cached) |
+//! | `serve.profile.memo_hit` | predictor jobs whose offline profiling phase came from the in-process memo |
 //! | `serve.error.bad_request` | 400s (protocol or validation errors) |
 //! | `serve.error.timeout` | 504s (deadline elapsed; job continues) |
 //! | `serve.error.failed` | 500s (job failed) |

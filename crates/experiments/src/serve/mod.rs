@@ -50,9 +50,9 @@ use ampsched_obs::{request as obs_request, ring as obs_ring};
 use ampsched_util::Json;
 use cache::{Claim, ResultCache, WaitOutcome};
 use queue::{Job, JobQueue, WorkerPool};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Everything `ampsched serve` needs to come up, resolved from CLI
@@ -106,8 +106,64 @@ pub struct Server {
     config: ServeConfig,
     queue: Arc<JobQueue>,
     cache: Arc<ResultCache>,
-    shutdown: Arc<AtomicBool>,
+    shutdown: ShutdownHandle,
     access_log: Option<Arc<reqlog::AccessLog>>,
+}
+
+/// Stops a running [`Server`]. The accept loop blocks in `accept`, so
+/// [`ShutdownHandle::trigger`] sets the flag and then connects to the
+/// listen address itself, which wakes the loop to see the flag.
+#[derive(Debug, Clone)]
+pub struct ShutdownHandle {
+    flag: Arc<AtomicBool>,
+    wake_addr: SocketAddr,
+}
+
+impl ShutdownHandle {
+    /// Stop accepting and start the drain (what `POST /shutdown` does).
+    pub fn trigger(&self) {
+        self.flag.store(true, Ordering::SeqCst);
+        // Fails harmlessly when the listener is already gone.
+        let _ = TcpStream::connect_timeout(&self.wake_addr, Duration::from_secs(1));
+    }
+
+    fn is_triggered(&self) -> bool {
+        self.flag.load(Ordering::SeqCst)
+    }
+}
+
+/// The in-flight connection count; the drain waits for it to reach zero.
+#[derive(Default)]
+struct ActiveConns {
+    count: Mutex<usize>,
+    idle: Condvar,
+}
+
+/// One connection's share of [`ActiveConns`], released on drop (also
+/// when the handler panics).
+struct ConnGuard(Arc<ActiveConns>);
+
+impl ActiveConns {
+    fn enter(self: &Arc<Self>) -> ConnGuard {
+        *self.count.lock().unwrap_or_else(|p| p.into_inner()) += 1;
+        ConnGuard(Arc::clone(self))
+    }
+
+    /// Block until no connection is in flight, or `cap` has elapsed.
+    fn wait_idle(&self, cap: Duration) {
+        let count = self.count.lock().unwrap_or_else(|p| p.into_inner());
+        let _ = self.idle.wait_timeout_while(count, cap, |n| *n > 0);
+    }
+}
+
+impl Drop for ConnGuard {
+    fn drop(&mut self) {
+        let mut count = self.0.count.lock().unwrap_or_else(|p| p.into_inner());
+        *count -= 1;
+        if *count == 0 {
+            self.0.idle.notify_all();
+        }
+    }
 }
 
 impl Server {
@@ -128,11 +184,23 @@ impl Server {
         obs_request::set_enabled(true);
         obs_ring::set_enabled(true);
         obs_ring::set_dump_path(config.flight_recorder.clone());
+        // The shutdown wake-up connects here; a wildcard bind is reached
+        // through loopback.
+        let mut wake_addr = listener.local_addr()?;
+        if wake_addr.ip().is_unspecified() {
+            wake_addr.set_ip(match wake_addr {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
         Ok(Server {
             listener,
             queue: Arc::new(JobQueue::new()),
             cache,
-            shutdown: Arc::new(AtomicBool::new(false)),
+            shutdown: ShutdownHandle {
+                flag: Arc::new(AtomicBool::new(false)),
+                wake_addr,
+            },
             access_log,
             config,
         })
@@ -143,10 +211,11 @@ impl Server {
         self.listener.local_addr()
     }
 
-    /// A handle that makes [`Server::run`] return when set — the same
-    /// flag `POST /shutdown` sets. For embedding the server in tests.
-    pub fn shutdown_handle(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.shutdown)
+    /// A handle whose [`ShutdownHandle::trigger`] makes [`Server::run`]
+    /// drain and return — what `POST /shutdown` does. For embedding the
+    /// server in tests.
+    pub fn shutdown_handle(&self) -> ShutdownHandle {
+        self.shutdown.clone()
     }
 
     /// Serve until shutdown, then drain: stop accepting, let queued
@@ -157,45 +226,44 @@ impl Server {
             Arc::clone(&self.queue),
             Arc::clone(&self.cache),
         );
-        self.listener.set_nonblocking(true)?;
-        let active = Arc::new(AtomicUsize::new(0));
-        while !self.shutdown.load(Ordering::SeqCst) {
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    let ctx = ConnCtx {
-                        queue: Arc::clone(&self.queue),
-                        cache: Arc::clone(&self.cache),
-                        shutdown: Arc::clone(&self.shutdown),
-                        deadline: Duration::from_millis(self.config.deadline_ms.max(1)),
-                        workers: self.config.workers,
-                        base: self.config.base.clone(),
-                        access_log: self.access_log.clone(),
-                    };
-                    let active = Arc::clone(&active);
-                    active.fetch_add(1, Ordering::SeqCst);
-                    std::thread::Builder::new()
-                        .name("serve-conn".to_string())
-                        .spawn(move || {
-                            handle_connection(stream, &ctx);
-                            active.fetch_sub(1, Ordering::SeqCst);
-                        })
-                        .expect("spawn connection handler");
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-                Err(e) => return Err(e),
+        let active = Arc::new(ActiveConns::default());
+        // Blocking accept: a connection is handed off the moment it
+        // arrives, and a shutdown trigger wakes the loop with a
+        // connection of its own, which is dropped unanswered.
+        for conn in self.listener.incoming() {
+            if self.shutdown.is_triggered() {
+                break;
             }
+            let stream = match conn {
+                Ok(stream) => stream,
+                // The peer gave up before the accept completed.
+                Err(e) if e.kind() == std::io::ErrorKind::ConnectionAborted => continue,
+                Err(e) => return Err(e),
+            };
+            let ctx = ConnCtx {
+                queue: Arc::clone(&self.queue),
+                cache: Arc::clone(&self.cache),
+                shutdown: self.shutdown.clone(),
+                deadline: Duration::from_millis(self.config.deadline_ms.max(1)),
+                workers: self.config.workers,
+                base: self.config.base.clone(),
+                access_log: self.access_log.clone(),
+            };
+            let guard = active.enter();
+            std::thread::Builder::new()
+                .name("serve-conn".to_string())
+                .spawn(move || {
+                    handle_connection(stream, &ctx);
+                    drop(guard);
+                })
+                .expect("spawn connection handler");
         }
         // Drain: connections first (they may still enqueue), then the
         // queue and pool. A stuck connection cannot wedge shutdown
         // forever — its cache wait is bounded by the deadline.
-        let drain_start = Instant::now();
-        let drain_cap = Duration::from_millis(self.config.deadline_ms.max(1))
-            + Duration::from_secs(5);
-        while active.load(Ordering::SeqCst) > 0 && drain_start.elapsed() < drain_cap {
-            std::thread::sleep(Duration::from_millis(10));
-        }
+        active.wait_idle(
+            Duration::from_millis(self.config.deadline_ms.max(1)) + Duration::from_secs(5),
+        );
         pool.join();
         Ok(())
     }
@@ -205,7 +273,7 @@ impl Server {
 struct ConnCtx {
     queue: Arc<JobQueue>,
     cache: Arc<ResultCache>,
-    shutdown: Arc<AtomicBool>,
+    shutdown: ShutdownHandle,
     deadline: Duration,
     workers: usize,
     base: Params,
@@ -343,7 +411,7 @@ fn handle_connection(mut stream: TcpStream, ctx: &ConnCtx) {
         }
         ("POST", "/shutdown") => {
             obs.phase("parse", started.elapsed());
-            ctx.shutdown.store(true, Ordering::SeqCst);
+            ctx.shutdown.trigger();
             let body: &[u8] = b"{\"status\": \"draining\"}\n";
             let wt = Instant::now();
             let _ = http::write_response(

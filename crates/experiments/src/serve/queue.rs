@@ -7,14 +7,18 @@
 //! contract (DESIGN.md §14) is met by snapshotting them before and
 //! after a job and reporting the *delta* — which is only equal to a
 //! fresh CLI process's counters if no other simulation ran in between.
-//! The pool still buys concurrency where it is safe: request parsing,
-//! cache lookups, disk spills, and response writes all overlap; only
-//! the simulate-and-render region is exclusive.
+//! The offline profiling phase is memoized ([`profiling::profile`]):
+//! its cell carries the phase's own delta, recorded under the same
+//! lock, which the job merges into its telemetry. The pool still buys
+//! concurrency where it is safe: request parsing, cache lookups, disk
+//! spills, and response writes all overlap; only the simulate-and-render
+//! region is exclusive.
 
 use super::cache::{CellBytes, ResultCache};
 use super::protocol::JobSpec;
 use crate::{profiling, report};
 use ampsched_obs::metrics;
+use ampsched_trace::arena;
 use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
 use std::sync::{Arc, Condvar, Mutex};
@@ -226,11 +230,29 @@ pub fn execute_job_timed(spec: &JobSpec) -> Result<(CellBytes, JobTiming), Strin
         // the lock is safe to keep using.
         poisoned.into_inner()
     });
-    let before = metrics::snapshot();
     let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
         let sim_start = std::time::Instant::now();
-        let sections = report::compute_sections(&spec.experiment, &spec.params)?;
-        let telemetry = metrics::snapshot().delta(&before).filtered("sim.").to_json();
+        // The profile cell comes first, outside the job's delta window:
+        // a memo hit adds nothing to the counters, and a miss records
+        // the phase's delta into the cell itself.
+        let cell = report::needs_predictors(&spec.experiment).then(|| {
+            let (cell, hit) = profiling::profile_memoized(&spec.params);
+            if hit {
+                ampsched_obs::counter!("serve.profile.memo_hit");
+            }
+            cell
+        });
+        let before = metrics::snapshot();
+        let sections = report::compute_sections(
+            &spec.experiment,
+            &spec.params,
+            cell.as_ref().map(|c| &c.predictors),
+        )?;
+        let mut telemetry = metrics::snapshot().delta(&before);
+        if let Some(cell) = &cell {
+            telemetry = cell.telemetry.merge(&telemetry);
+        }
+        let telemetry = telemetry.filtered("sim.").to_json();
         let sim_us = sim_start.elapsed().as_micros() as u64;
         let render_start = std::time::Instant::now();
         let doc = report::assemble(&spec.experiment, &spec.params, sections, telemetry);
@@ -243,6 +265,10 @@ pub fn execute_job_timed(spec: &JobSpec) -> Result<(CellBytes, JobTiming), Strin
         };
         Ok((bytes, timing))
     }));
+    // Job end: no stream this job materialized is held any more, so free
+    // them all. Daemon memory is then bounded by the largest job rather
+    // than growing with every seed served.
+    arena::clear();
     drop(guard);
     match result {
         Ok(outcome) => outcome,
@@ -257,14 +283,14 @@ pub fn execute_job_timed(spec: &JobSpec) -> Result<(CellBytes, JobTiming), Strin
     }
 }
 
-/// Warm the process the way a CLI run would be warm: used by tests and
-/// `serve-bench` to pre-register predictor instruments. Not required
-/// for correctness (the delta mechanism handles cold instruments), but
-/// keeps first-request latency out of warm-path measurements.
+/// Warm the process the way a CLI run would be warm: fills the profile
+/// memo for the spec's parameters (under the simulation lock, so the
+/// cell's telemetry is exact). Not required for correctness, but keeps
+/// first-request latency out of warm-path measurements.
 pub fn warmup(spec: &JobSpec) {
     if report::needs_predictors(&spec.experiment) {
         let _guard = sim_lock().lock().unwrap_or_else(|p| p.into_inner());
-        let _ = profiling::predictors(&spec.params);
+        profiling::profile(&spec.params);
     }
 }
 

@@ -31,8 +31,12 @@ fn run_fig7(json_path: &Path, telemetry: Option<(&Path, &Path)>, extra: &[&str])
     );
 }
 
-fn tmp_dir() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("ampsched-difftel-{}", std::process::id()));
+/// A fresh scratch directory for one test. Keyed by test name as well
+/// as pid: the tests in this binary run in parallel, and each clears its
+/// directory on entry and removes it on exit.
+fn tmp_dir(test: &str) -> PathBuf {
+    let pid = std::process::id();
+    let dir = std::env::temp_dir().join(format!("ampsched-difftel-{pid}-{test}"));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("temp dir");
     dir
@@ -40,7 +44,7 @@ fn tmp_dir() -> PathBuf {
 
 #[test]
 fn telemetry_flags_do_not_change_the_json_report() {
-    let dir = tmp_dir();
+    let dir = tmp_dir("telemetry");
     let plain = dir.join("plain.json");
     let instrumented = dir.join("instrumented.json");
     let jsonl = dir.join("decisions.jsonl");
@@ -151,8 +155,7 @@ fn telemetry_flags_do_not_change_the_json_report() {
 /// `--profile` run incomparable with unprofiled results.
 #[test]
 fn pipeline_profiler_does_not_change_the_json_report() {
-    let dir = tmp_dir().join("profiler");
-    std::fs::create_dir_all(&dir).expect("subdir");
+    let dir = tmp_dir("profiler");
     let plain = dir.join("plain.json");
     let sampled = dir.join("sampled.json");
     let events = dir.join("trace.json");

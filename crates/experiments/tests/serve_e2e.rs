@@ -8,9 +8,11 @@
 //! 2. **Caching**: a repeated request is answered from the cache —
 //!    exactly one underlying simulation, the repeat O(1), and the hit
 //!    visible in `/metrics`.
+//! 3. **Profile memo**: jobs that share profiling parameters profile
+//!    once, and a memo hit still serves the golden bytes.
 
 use ampsched_experiments::common::Params;
-use ampsched_experiments::serve::{http, Server, ServeConfig};
+use ampsched_experiments::serve::{http, Server, ServeConfig, ShutdownHandle};
 use ampsched_obs::metrics;
 use ampsched_util::Json;
 use std::time::Duration;
@@ -22,6 +24,13 @@ const FIG1_BODY: &str = r#"{"experiment":"fig1","params":{"scale":"quick","pairs
 
 /// The same cell with every JSON member in a different order.
 const FIG1_BODY_REORDERED: &str = r#"{"params":{"profile_insts":200000,"insts":20000,"pairs":2,"scale":"quick"},"experiment":"fig1"}"#;
+
+/// Serializes the tests that count process-global `serve.*` counters.
+static COUNTER_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+fn lock() -> std::sync::MutexGuard<'static, ()> {
+    COUNTER_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// Start a server on an ephemeral port with `base` defaults; returns
 /// its address and a guard that shuts it down on drop.
@@ -40,14 +49,13 @@ fn start_server(config: ServeConfig) -> (String, ServerGuard) {
 }
 
 struct ServerGuard {
-    shutdown: std::sync::Arc<std::sync::atomic::AtomicBool>,
+    shutdown: ShutdownHandle,
     handle: Option<std::thread::JoinHandle<()>>,
 }
 
 impl Drop for ServerGuard {
     fn drop(&mut self) {
-        self.shutdown
-            .store(true, std::sync::atomic::Ordering::SeqCst);
+        self.shutdown.trigger();
         if let Some(h) = self.handle.take() {
             let _ = h.join();
         }
@@ -65,6 +73,7 @@ fn counter_value(name: &str) -> u64 {
 
 #[test]
 fn served_response_is_byte_identical_to_the_cli_golden_and_cached() {
+    let _serial = lock();
     let config = ServeConfig {
         addr: "127.0.0.1:0".to_string(),
         workers: 2,
@@ -204,4 +213,44 @@ fn error_paths_and_shutdown() {
     };
     assert!(joined, "server must drain and stop after POST /shutdown");
     handle.join().expect("server thread exits cleanly");
+}
+
+/// The golden jobs that need profiled predictors. At the pinned params
+/// they all share one profile cell.
+const PREDICTOR_JOBS: &[&str] = &[
+    "fig3", "fig4", "fig6", "fig7", "fig8", "fig9", "overhead", "rr-interval", "ablation",
+    "regret",
+];
+
+#[test]
+fn profile_memo_hits_serve_the_golden_bytes() {
+    let _serial = lock();
+    let config = ServeConfig {
+        addr: "127.0.0.1:0".to_string(),
+        workers: 2,
+        cache_entries: 16,
+        base: Params::default(),
+        ..ServeConfig::default()
+    };
+    let (addr, _guard) = start_server(config);
+    let hits_before = counter_value("serve.profile.memo_hit");
+    for job in PREDICTOR_JOBS {
+        let body = format!(
+            r#"{{"experiment":"{job}","params":{{"scale":"quick","pairs":2,"insts":20000,"profile_insts":200000}}}}"#
+        );
+        let (status, _, served) =
+            http::request(&addr, "POST", "/run", body.as_bytes()).expect("run request");
+        assert_eq!(status, 200, "{job}: {}", String::from_utf8_lossy(&served));
+        let golden_path = format!(
+            "{}/tests/golden/compat/{job}.json",
+            env!("CARGO_MANIFEST_DIR")
+        );
+        let golden = std::fs::read(&golden_path).expect("read golden");
+        assert!(served == golden, "served {job} bytes must equal {golden_path}");
+    }
+    assert_eq!(
+        counter_value("serve.profile.memo_hit") - hits_before,
+        PREDICTOR_JOBS.len() as u64 - 1,
+        "every job after the first reuses the profile"
+    );
 }

@@ -11,7 +11,7 @@
 
 use ampsched_experiments::common::Params;
 use ampsched_experiments::serve::reqlog::ACCESS_LOG_KEYS;
-use ampsched_experiments::serve::{http, ServeConfig, Server};
+use ampsched_experiments::serve::{http, ServeConfig, Server, ShutdownHandle};
 use ampsched_obs::{request as obs_request, ring as obs_ring};
 use ampsched_util::Json;
 use std::path::{Path, PathBuf};
@@ -43,14 +43,13 @@ fn start_server(config: ServeConfig) -> (String, ServerGuard) {
 }
 
 struct ServerGuard {
-    shutdown: std::sync::Arc<std::sync::atomic::AtomicBool>,
+    shutdown: ShutdownHandle,
     handle: Option<std::thread::JoinHandle<()>>,
 }
 
 impl Drop for ServerGuard {
     fn drop(&mut self) {
-        self.shutdown
-            .store(true, std::sync::atomic::Ordering::SeqCst);
+        self.shutdown.trigger();
         if let Some(h) = self.handle.take() {
             let _ = h.join();
         }

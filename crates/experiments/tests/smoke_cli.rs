@@ -6,9 +6,14 @@ use ampsched_util::Json;
 use std::process::Command;
 
 /// Run `ampsched <extra args> --json <tmp> <command>` and parse the report.
+///
+/// Each call gets its own directory: several tests run the same command
+/// in parallel, and each call removes its directory when done.
 fn run_with_json(command: &str, extra: &[&str]) -> Json {
+    static CALLS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    let call = CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     let dir = std::env::temp_dir().join(format!(
-        "ampsched-smoke-{}-{}",
+        "ampsched-smoke-{}-{}-{call}",
         command,
         std::process::id()
     ));

@@ -175,6 +175,7 @@ mod tests {
 
     #[test]
     fn filter_and_capture() {
+        let _serial = crate::ring::TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         set_max_level(Some(Level::Info));
         capture_start();
         crate::info!("test.log", "visible {}", 1; k = 7);

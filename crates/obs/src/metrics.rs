@@ -180,7 +180,7 @@ pub fn hist(name: &'static str) -> &'static Hist {
 }
 
 /// Point-in-time copy of every registered instrument, sorted by name.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Snapshot {
     /// `(name, value)` for every counter.
     pub counters: Vec<(String, u64)>,
@@ -189,7 +189,7 @@ pub struct Snapshot {
 }
 
 /// Point-in-time copy of one histogram.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistSnapshot {
     /// Registered name.
     pub name: String,
@@ -321,6 +321,40 @@ impl Snapshot {
         Snapshot { counters, hists }
     }
 
+    /// The sum of two snapshots: counters, histogram counts, sums and
+    /// buckets add per name (and per bucket), keeping the name order.
+    ///
+    /// For deltas this is the inverse of splitting a window:
+    /// `c.delta(&a) == b.delta(&a).merge(&c.delta(&b))`, so a region
+    /// recorded once (the memoized profiling phase) can be added to a
+    /// later region's delta and render exactly the bytes one delta over
+    /// both regions would (the `prop_obs` suite checks this).
+    pub fn merge(&self, other: &Snapshot) -> Snapshot {
+        let counters = merge_sorted(
+            &self.counters,
+            &other.counters,
+            |(n, _)| n,
+            |(n, a), (_, b)| (n.clone(), a + b),
+        );
+        let hists = merge_sorted(
+            &self.hists,
+            &other.hists,
+            |h| &h.name,
+            |a, b| HistSnapshot {
+                name: a.name.clone(),
+                count: a.count + b.count,
+                sum: a.sum.wrapping_add(b.sum),
+                buckets: merge_sorted(
+                    &a.buckets,
+                    &b.buckets,
+                    |(lo, _, _)| lo,
+                    |&(lo, hi, x), &(_, _, y)| (lo, hi, x + y),
+                ),
+            },
+        );
+        Snapshot { counters, hists }
+    }
+
     /// Keep only instruments whose name starts with `prefix`.
     pub fn filtered(&self, prefix: &str) -> Snapshot {
         Snapshot {
@@ -380,6 +414,38 @@ impl Snapshot {
             ),
         ])
     }
+}
+
+/// Union of two key-sorted lists; entries whose keys match are combined
+/// with `both`, the rest are copied.
+fn merge_sorted<T: Clone, K: Ord + ?Sized>(
+    a: &[T],
+    b: &[T],
+    key: impl Fn(&T) -> &K,
+    both: impl Fn(&T, &T) -> T,
+) -> Vec<T> {
+    let mut out = Vec::with_capacity(a.len().max(b.len()));
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        match key(&a[i]).cmp(key(&b[j])) {
+            std::cmp::Ordering::Less => {
+                out.push(a[i].clone());
+                i += 1;
+            }
+            std::cmp::Ordering::Greater => {
+                out.push(b[j].clone());
+                j += 1;
+            }
+            std::cmp::Ordering::Equal => {
+                out.push(both(&a[i], &b[j]));
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
+    out
 }
 
 /// Increment a named counter: `counter!("sim.swap")` adds 1,

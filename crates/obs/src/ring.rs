@@ -179,6 +179,12 @@ pub fn reset() {
     r.next_seq = 0;
 }
 
+/// Serializes the unit test that enables the ring with the tests that
+/// emit into it (log lines, request lifecycles and spans are all ring
+/// events).
+#[cfg(test)]
+pub(crate) static TEST_LOCK: Mutex<()> = Mutex::new(());
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -187,6 +193,7 @@ mod tests {
     // would interleave events.
     #[test]
     fn ring_lifecycle_wrap_and_dump() {
+        let _serial = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         set_enabled(false);
         reset();
         event("test", "ignored while disabled".to_string());

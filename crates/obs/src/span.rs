@@ -257,6 +257,7 @@ mod tests {
     // process-global, so parallel test functions would race.
     #[test]
     fn span_recording_lifecycle() {
+        let _serial = crate::ring::TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         set_enabled(false);
         {
             let _s = span("test.span.off");

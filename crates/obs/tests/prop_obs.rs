@@ -1,10 +1,12 @@
 //! Property tests for the observability primitives: histogram bucket
-//! boundaries are total and contiguous over `u64`, and JSONL telemetry
-//! records always render as a single parseable line, no matter what
-//! bytes end up in string fields (workload labels, error messages).
-//! Runs on the in-tree `util::check` harness with a fixed seed.
+//! boundaries are total and contiguous over `u64`, snapshot deltas split
+//! and re-merge exactly, and JSONL telemetry records always render as a
+//! single parseable line, no matter what bytes end up in string fields
+//! (workload labels, error messages). Runs on the in-tree `util::check`
+//! harness with a fixed seed.
 
-use ampsched_obs::metrics::{bucket_bounds, bucket_index, BUCKETS};
+use ampsched_obs::metrics::{bucket_bounds, bucket_index, HistSnapshot, Snapshot, BUCKETS};
+use std::collections::BTreeMap;
 use ampsched_util::check::{Checker, Source};
 use ampsched_util::{prop_assert, prop_assert_eq, Json};
 
@@ -50,6 +52,94 @@ fn hist_bucket_boundaries() {
                 v,
                 w
             );
+            Ok(())
+        },
+    );
+}
+
+/// Instrument names the delta/merge property draws from (mixed
+/// namespaces, so the interleaved name order is exercised).
+const COUNTERS: [&str; 4] = ["serve.x", "sim.a", "sim.b", "sim.swap"];
+const HISTS: [&str; 3] = ["sim.h", "sim.run.cycles", "trace.bytes"];
+
+/// One registry event: `(is_hist, instrument index, value)`. Counter
+/// increments of 0 register an instrument without moving it.
+type Event = (bool, usize, u64);
+
+fn arb_events(s: &mut Source) -> Vec<Event> {
+    s.vec_with(0, 12, |s| {
+        if s.bool() {
+            (false, s.usize_in(0, COUNTERS.len()), s.u64_in(0, 5))
+        } else {
+            let v = if s.bool() { arb_sample(s) } else { s.u64_in(0, 8) };
+            (true, s.usize_in(0, HISTS.len()), v)
+        }
+    })
+}
+
+/// A model registry that snapshots the way `metrics::snapshot` does:
+/// names sorted, only registered instruments, only non-empty buckets.
+#[derive(Default)]
+struct Model {
+    counters: BTreeMap<&'static str, u64>,
+    hists: BTreeMap<&'static str, (u64, u64, [u64; BUCKETS])>,
+}
+
+impl Model {
+    fn apply(&mut self, events: &[Event]) {
+        for &(is_hist, i, v) in events {
+            if is_hist {
+                let h = self.hists.entry(HISTS[i]).or_insert((0, 0, [0; BUCKETS]));
+                h.0 += 1;
+                h.1 = h.1.wrapping_add(v);
+                h.2[bucket_index(v)] += 1;
+            } else {
+                *self.counters.entry(COUNTERS[i]).or_insert(0) += v;
+            }
+        }
+    }
+
+    fn snapshot(&self) -> Snapshot {
+        Snapshot {
+            counters: self.counters.iter().map(|(n, v)| (n.to_string(), *v)).collect(),
+            hists: self
+                .hists
+                .iter()
+                .map(|(n, (count, sum, buckets))| HistSnapshot {
+                    name: n.to_string(),
+                    count: *count,
+                    sum: *sum,
+                    buckets: (0..BUCKETS)
+                        .filter(|&i| buckets[i] > 0)
+                        .map(|i| {
+                            let (lo, hi) = bucket_bounds(i);
+                            (lo, hi, buckets[i])
+                        })
+                        .collect(),
+                })
+                .collect(),
+        }
+    }
+}
+
+#[test]
+fn delta_splits_and_merges_exactly() {
+    checker().run(
+        "delta_splits_and_merges_exactly",
+        |s: &mut Source| (arb_events(s), arb_events(s), arb_events(s)),
+        |(before, first, second)| {
+            // Snapshots a, b, c around two windows of activity.
+            let mut m = Model::default();
+            m.apply(before);
+            let a = m.snapshot();
+            m.apply(first);
+            let b = m.snapshot();
+            m.apply(second);
+            let c = m.snapshot();
+            let whole = c.delta(&a);
+            let merged = b.delta(&a).merge(&c.delta(&b));
+            prop_assert_eq!(&merged, &whole);
+            prop_assert_eq!(merged.to_json().render(), whole.to_json().render());
             Ok(())
         },
     );

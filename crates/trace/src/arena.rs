@@ -612,18 +612,22 @@ fn evict_locked(store: &mut Store) {
         match victim {
             Some(k) => {
                 ampsched_obs::counter!("trace.arena.evict");
-                if let Some(e) = store.entries.remove(&k) {
-                    // Persist unsaved chunks before dropping them, so
-                    // eviction never discards work a warm run could
-                    // have reused.
-                    let mut inner = e.inner.lock().expect("arena entry lock");
-                    e.write_back(&mut inner);
-                    drop(inner);
-                    TOTAL_BYTES.fetch_sub(e.bytes.load(Ordering::Relaxed), Ordering::Relaxed);
-                }
+                remove_locked(store, k);
             }
             None => break,
         }
+    }
+}
+
+/// Drop the entry under `key` if no reader holds it. Unsaved chunks are
+/// persisted first, so dropping never discards work a warm run could
+/// have reused.
+fn remove_locked(store: &mut Store, key: Key) {
+    if store.entries.get(&key).is_some_and(|e| Arc::strong_count(e) == 1) {
+        let e = store.entries.remove(&key).expect("entry checked above");
+        let mut inner = e.inner.lock().expect("arena entry lock");
+        e.write_back(&mut inner);
+        TOTAL_BYTES.fetch_sub(e.bytes.load(Ordering::Relaxed), Ordering::Relaxed);
     }
 }
 
@@ -663,21 +667,34 @@ pub fn flush() {
     }
 }
 
-/// Drop every unreferenced entry, regardless of budget. Mainly for tests
-/// that need a cold arena.
+/// Drop every unreferenced entry, regardless of budget, persisting
+/// dirty ones first. Tests use it for a cold arena; the serve worker
+/// calls it at job end so a daemon's footprint is bounded by its
+/// largest job, not by how many parameter sets it has served.
 pub fn clear() {
     let mut store = store().lock().expect("arena store lock");
-    let keys: Vec<Key> = store
-        .entries
-        .iter()
-        .filter(|(_, e)| Arc::strong_count(e) == 1)
-        .map(|(k, _)| *k)
-        .collect();
+    let keys: Vec<Key> = store.entries.keys().copied().collect();
     for k in keys {
-        if let Some(e) = store.entries.remove(&k) {
-            TOTAL_BYTES.fetch_sub(e.bytes.load(Ordering::Relaxed), Ordering::Relaxed);
-        }
+        remove_locked(&mut store, k);
     }
+}
+
+/// Drop the stream [`ReplaySource::for_thread`] would replay for these
+/// arguments, unless a reader still holds it; with a cache directory its
+/// chunks are written back first. For consumers that know nothing will
+/// read the stream again (the offline profiling phase), so it does not
+/// stay resident until budget pressure evicts it.
+pub fn release_for_thread(spec: &BenchmarkSpec, seed: u64, thread: usize) {
+    let (seed, addr_base, code_base) = thread_stream(seed, thread);
+    let key = (fingerprint(spec), seed, addr_base, code_base);
+    remove_locked(&mut store().lock().expect("arena store lock"), key);
+}
+
+/// The per-thread seed and disjoint `(addr_base, code_base)` that
+/// [`TraceGenerator::for_thread`] derives for a thread slot.
+fn thread_stream(seed: u64, thread: usize) -> (u64, u64, u64) {
+    let base = (thread as u64 + 1) << 30;
+    (seed.wrapping_add(thread as u64), base, base + (1 << 28))
 }
 
 /// A [`Workload`] that replays a memoized arena stream.
@@ -729,14 +746,8 @@ impl ReplaySource {
         thread: usize,
         cache_dir: Option<&Path>,
     ) -> ReplaySource {
-        let base = (thread as u64 + 1) << 30;
-        ReplaySource::new_cached(
-            spec,
-            seed.wrapping_add(thread as u64),
-            base,
-            base + (1 << 28),
-            cache_dir,
-        )
+        let (seed, addr_base, code_base) = thread_stream(seed, thread);
+        ReplaySource::new_cached(spec, seed, addr_base, code_base, cache_dir)
     }
 
     /// Arena-backed equivalent of [`TraceGenerator::new`].
@@ -1037,7 +1048,7 @@ mod tests {
         image[at] ^= 0x10;
         std::fs::write(path, &image).unwrap();
         let mut after = ReplaySource::for_thread_cached(spec.clone(), seed, 0, Some(&dir));
-        let mut fresh = TraceGenerator::for_thread(spec, seed, 0);
+        let mut fresh = TraceGenerator::for_thread(spec.clone(), seed, 0);
         for i in 0..CHUNK_OPS {
             assert_eq!(after.next_op(), fresh.next_op(), "op {i} diverged after corruption");
         }
@@ -1046,6 +1057,41 @@ mod tests {
             "the corrupt file must have been deleted (and possibly rewritten valid)"
         );
         drop(after);
+        clear();
+
+        // Release pass: releasing a stream writes it back without a
+        // flush(), and the released stream replays from disk.
+        let released = 0xd15c_0002u64;
+        let rkey = (fingerprint(&spec), released, 1u64 << 30, (1u64 << 30) + (1 << 28));
+        let resident = || store().lock().unwrap().entries.contains_key(&rkey);
+        {
+            let mut r = ReplaySource::for_thread_cached(spec.clone(), released, 0, Some(&dir));
+            for _ in 0..(CHUNK_OPS + 1) {
+                r.next_op();
+            }
+            release_for_thread(&spec, released, 0);
+            assert!(resident(), "a held stream survives release");
+        }
+        release_for_thread(&spec, released, 0);
+        assert!(!resident(), "an unheld stream is dropped on release");
+        let path = crate::persist::chunk_file_path(&dir, spec.name, rkey);
+        let rec = crate::persist::scan(&dir)
+            .into_iter()
+            .find(|r| r.path == path)
+            .expect("released stream was written back");
+        assert!(rec.is_valid());
+        assert_eq!(rec.chunks, 2, "release persists every materialized chunk");
+        let mut warm = ReplaySource::for_thread_cached(spec.clone(), released, 0, Some(&dir));
+        assert_eq!(
+            store().lock().unwrap().entries[&rkey].inner.lock().unwrap().gen_chunks,
+            0,
+            "the released stream is adopted from disk"
+        );
+        let mut live = TraceGenerator::for_thread(spec, released, 0);
+        for i in 0..(2 * CHUNK_OPS) {
+            assert_eq!(warm.next_op(), live.next_op(), "op {i} diverged after release");
+        }
+        drop(warm);
         clear();
         let _ = std::fs::remove_dir_all(&dir);
     }
