@@ -57,6 +57,31 @@ impl ActivityCounters {
         std::mem::take(self)
     }
 
+    /// The tallies accumulated since `earlier`, a past copy of these
+    /// counters — exactly what [`take`](Self::take) would have returned
+    /// had it been called at `earlier` and again now. Lets several
+    /// readers settle one core's cumulative counters independently.
+    pub fn since(&self, earlier: &ActivityCounters) -> ActivityCounters {
+        ActivityCounters {
+            cycles: self.cycles - earlier.cycles,
+            icache_accesses: self.icache_accesses - earlier.icache_accesses,
+            dispatches: self.dispatches - earlier.dispatches,
+            isq_int_inserts: self.isq_int_inserts - earlier.isq_int_inserts,
+            isq_fp_inserts: self.isq_fp_inserts - earlier.isq_fp_inserts,
+            isq_int_wakeups: self.isq_int_wakeups - earlier.isq_int_wakeups,
+            isq_fp_wakeups: self.isq_fp_wakeups - earlier.isq_fp_wakeups,
+            fu_ops: std::array::from_fn(|i| self.fu_ops[i] - earlier.fu_ops[i]),
+            int_reg_reads: self.int_reg_reads - earlier.int_reg_reads,
+            int_reg_writes: self.int_reg_writes - earlier.int_reg_writes,
+            fp_reg_reads: self.fp_reg_reads - earlier.fp_reg_reads,
+            fp_reg_writes: self.fp_reg_writes - earlier.fp_reg_writes,
+            lsq_inserts: self.lsq_inserts - earlier.lsq_inserts,
+            dcache_accesses: self.dcache_accesses - earlier.dcache_accesses,
+            bpred_lookups: self.bpred_lookups - earlier.bpred_lookups,
+            commits: self.commits - earlier.commits,
+        }
+    }
+
     /// Accumulate another counter set (e.g. totals across windows).
     pub fn merge(&mut self, other: &ActivityCounters) {
         self.cycles += other.cycles;
@@ -92,6 +117,24 @@ mod tests {
         let t = a.take();
         assert_eq!(t.cycles, 10);
         assert_eq!(a, ActivityCounters::default());
+    }
+
+    #[test]
+    fn since_equals_take_at_the_same_points() {
+        let mut taken = ActivityCounters::new();
+        let mut cumulative = ActivityCounters::new();
+        let bump = |a: &mut ActivityCounters, k: u64| {
+            a.cycles += k;
+            a.fu_ops[2] += 2 * k;
+            a.commits += k + 1;
+        };
+        bump(&mut taken, 3);
+        bump(&mut cumulative, 3);
+        let mark = cumulative;
+        assert_eq!(cumulative.since(&ActivityCounters::new()), taken.take());
+        bump(&mut taken, 5);
+        bump(&mut cumulative, 5);
+        assert_eq!(cumulative.since(&mark), taken.take());
     }
 
     #[test]

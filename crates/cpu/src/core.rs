@@ -83,6 +83,7 @@ const DST_FP: u8 = 2;
 /// [`RobSlot`] values through [`Rob::get`]/[`Rob::set`], so their stage
 /// bodies stay semantically verbatim over the new layout. Both kernels
 /// share this storage; there is no mirrored state to keep coherent.
+#[derive(Clone)]
 struct Rob {
     seq: Vec<u64>,
     ready_at: Vec<u64>,
@@ -204,6 +205,11 @@ impl Rob {
 }
 
 /// One out-of-order core executing a [`Workload`] stream.
+///
+/// `Clone` copies the complete microarchitectural state, so a clone
+/// ticked with an identical stream stays cycle-identical to the original
+/// (the multicore cohort run forks machines this way).
+#[derive(Clone)]
 pub struct Core {
     cfg: CoreConfig,
     core_id: usize,

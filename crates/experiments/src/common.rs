@@ -327,6 +327,28 @@ pub fn run_pair(pair: &Pair, kind: &SchedKind, predictors: &Predictors, params: 
     result
 }
 
+/// Run one pair under several schedulers from the same cold start, as
+/// one cohort: a shared machine that forks only where the schedulers'
+/// placements diverge. The results equal one [`run_pair`] per kind, in
+/// order; emitting their telemetry is left to the caller.
+pub fn run_pair_cohort(
+    pair: &Pair,
+    kinds: &[&SchedKind],
+    predictors: &Predictors,
+    params: &Params,
+) -> Vec<RunResult> {
+    let _span = ampsched_obs::span!("experiments.run_pair", pair.label());
+    let mut scheds: Vec<Box<dyn Scheduler>> = kinds.iter().map(|k| k.build(predictors)).collect();
+    let mut members: Vec<&mut dyn Scheduler> =
+        scheds.iter_mut().map(|s| &mut **s as &mut dyn Scheduler).collect();
+    DualCoreSystem::run_cohort_from(
+        || DualCoreSystem::new(params.system, pair.workloads(params)),
+        &mut members,
+        params.run_insts,
+        params.max_cycles,
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

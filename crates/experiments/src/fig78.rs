@@ -9,7 +9,7 @@ use ampsched_metrics::{
 };
 use ampsched_system::RunResult;
 
-use crate::common::{run_pair, sample_pairs, Params, Predictors, SchedKind};
+use crate::common::{run_pair_cohort, sample_pairs, Params, Predictors, SchedKind};
 use crate::runner::parallel_map;
 
 /// All three schemes' results for one pair.
@@ -185,18 +185,32 @@ pub fn to_json(sweep: &SweepResult) -> ampsched_util::Json {
 /// Run the full three-scheme sweep over `params.num_pairs` combinations.
 pub fn run_sweep(params: &Params, predictors: &Predictors) -> SweepResult {
     let pairs = sample_pairs(params.num_pairs, params.seed);
-    // One selector per scheme for the whole sweep: `run_pair` rebuilds the
-    // scheduler state per run, so the kinds (and the predictors they
-    // borrow) are shared, not reconstructed per pair.
+    // One selector per scheme for the whole sweep: each cohort rebuilds
+    // the scheduler state, so the kinds (and the predictors they borrow)
+    // are shared, not reconstructed per pair.
     let proposed = SchedKind::proposed_default(params);
     let hpe = SchedKind::HpeMatrix;
     let rr = SchedKind::RoundRobin(1);
-    let outcomes = parallel_map(&pairs, |pair| PairOutcome {
-        label: pair.label(),
-        proposed: run_pair(pair, &proposed, predictors, params),
-        hpe: run_pair(pair, &hpe, predictors, params),
-        rr: run_pair(pair, &rr, predictors, params),
+    // The three schemes start from the same machine and mostly agree on
+    // placement, so each pair runs as one cohort.
+    let outcomes = parallel_map(&pairs, |pair| {
+        let [proposed, hpe, rr]: [RunResult; 3] =
+            run_pair_cohort(pair, &[&proposed, &hpe, &rr], predictors, params)
+                .try_into()
+                .expect("one result per scheme");
+        PairOutcome {
+            label: pair.label(),
+            proposed,
+            hpe,
+            rr,
+        }
     });
+    // Telemetry in pair order, whichever worker ran the pair.
+    for (pair, o) in pairs.iter().zip(&outcomes) {
+        for r in [&o.proposed, &o.hpe, &o.rr] {
+            crate::telemetry::emit_run(&o.label, pair.seed, r);
+        }
+    }
     SweepResult { outcomes }
 }
 

@@ -8,6 +8,14 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
+/// The most worker threads [`parallel_map`] runs: the host's available
+/// parallelism.
+pub fn workers() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+}
+
 /// Map `f` over `items` using up to `available_parallelism` threads,
 /// preserving input order in the output.
 ///
@@ -23,10 +31,7 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    let n_threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(items.len().max(1));
+    let n_threads = workers().min(items.len().max(1));
     if n_threads <= 1 {
         return items.iter().map(&f).collect();
     }

@@ -9,6 +9,7 @@
 //! is predictor-free (no offline profiling phase), so the whole sweep
 //! runs standalone.
 
+use ampsched_core::TopoScheduler;
 use ampsched_metrics::{improvement_pct, Table};
 use ampsched_system::{MulticoreSystem, SystemConfig, Topology, TopoRunResult};
 use ampsched_trace::BenchmarkSpec;
@@ -145,26 +146,41 @@ fn sample_workloads(n: usize, seed: u64) -> Vec<BenchmarkSpec> {
     picked.into_iter().map(|i| pool[i].clone()).collect()
 }
 
-fn run_cell(
+/// The workload seed of one shape.
+fn shape_seed(params: &Params, shape: &ShapeSpec) -> u64 {
+    params.seed ^ ((shape.fp as u64) << 24 | (shape.int as u64) << 16 | shape.threads as u64)
+}
+
+/// Run a slice of the scheduler list on one shape from the same cold
+/// start, as one cohort: a shared machine that forks only where the
+/// schedulers' placements diverge. Results are in `kinds` order and
+/// equal one solo run per scheduler.
+fn run_cohort(
     shape: &ShapeSpec,
     specs: &[BenchmarkSpec],
-    kind: &SchedKind,
+    kinds: &[(String, SchedKind)],
     seed: u64,
     params: &Params,
-) -> TopoRunResult {
+) -> Vec<TopoRunResult> {
     let topo = shape.topology();
     let _span = ampsched_obs::span!("experiments.run_shape", topo.label());
-    let workloads = specs
-        .iter()
-        .enumerate()
-        .map(|(t, spec)| params.workload_for_thread(spec.clone(), seed, t))
-        .collect();
-    let mut sys = MulticoreSystem::new(sweep_system(params), &topo, workloads);
-    let mut sched = kind.build_topo(shape.threads, None);
-    let result = sys.run(&mut *sched, params.run_insts, params.max_cycles);
-    // Observation only, like emit_run on the pair path.
-    crate::telemetry::emit_topo_run(&topo.label(), "scaling", seed, &result);
-    result
+    let mut scheds: Vec<Box<dyn TopoScheduler>> =
+        kinds.iter().map(|(_, k)| k.build_topo(shape.threads, None)).collect();
+    let mut members: Vec<&mut dyn TopoScheduler> =
+        scheds.iter_mut().map(|s| &mut **s as &mut dyn TopoScheduler).collect();
+    MulticoreSystem::run_cohort_from(
+        || {
+            let workloads = specs
+                .iter()
+                .enumerate()
+                .map(|(t, spec)| params.workload_for_thread(spec.clone(), seed, t))
+                .collect();
+            MulticoreSystem::new(sweep_system(params), &topo, workloads)
+        },
+        &mut members,
+        params.run_insts,
+        params.max_cycles,
+    )
 }
 
 /// Run the sweep over the default grids.
@@ -178,24 +194,52 @@ pub fn run_grid(
     shapes: &[ShapeSpec],
     schedulers: &[(String, SchedKind)],
 ) -> ScalingResult {
-    // Flatten to (shape, scheduler) cells so the pool sees the whole
-    // grid at once; results come back in input order, so cells regroup
-    // by integer division below.
-    let grid: Vec<(usize, usize)> = (0..shapes.len())
-        .flat_map(|s| (0..schedulers.len()).map(move |k| (s, k)))
+    // One cohort per shape. A grid with fewer shapes than workers splits
+    // each shape's scheduler list so every worker has a cohort to run.
+    let workers = crate::runner::workers();
+    let splits = if shapes.len() < workers {
+        workers.min(schedulers.len()).max(1)
+    } else {
+        1
+    };
+    let mut tasks: Vec<(usize, std::ops::Range<usize>)> = (0..shapes.len())
+        .flat_map(|s| {
+            (0..splits).map(move |i| {
+                (s, i * schedulers.len() / splits..(i + 1) * schedulers.len() / splits)
+            })
+        })
+        .filter(|(_, ks)| !ks.is_empty())
         .collect();
-    let results = parallel_map(&grid, |&(s, k)| {
-        let shape = &shapes[s];
-        let seed = params.seed ^ ((shape.fp as u64) << 24 | (shape.int as u64) << 16 | shape.threads as u64);
+    // Cohorts with more threads cost more; dispatching them first keeps
+    // a large shape from being the last task on one worker.
+    tasks.sort_by_key(|(s, _)| std::cmp::Reverse(shapes[*s].threads));
+    let outputs = parallel_map(&tasks, |(s, ks)| {
+        let shape = &shapes[*s];
+        let seed = shape_seed(params, shape);
         let specs = sample_workloads(shape.threads, seed);
-        run_cell(shape, &specs, &schedulers[k].1, seed, params)
+        run_cohort(shape, &specs, &schedulers[ks.clone()], seed, params)
     });
+    // Back to grid order: shape-major, schedulers in list order.
+    let mut cells: Vec<(usize, TopoRunResult)> = tasks
+        .iter()
+        .zip(outputs)
+        .flat_map(|((s, ks), out)| ks.clone().map(move |k| s * schedulers.len() + k).zip(out))
+        .collect();
+    cells.sort_by_key(|&(i, _)| i);
+    let results: Vec<TopoRunResult> = cells.into_iter().map(|(_, r)| r).collect();
+    // Observation only, like emit_run on the pair path; in grid order,
+    // whichever worker ran the cohort.
+    for (s, shape) in shapes.iter().enumerate() {
+        let label = shape.topology().label();
+        for r in &results[s * schedulers.len()..(s + 1) * schedulers.len()] {
+            crate::telemetry::emit_topo_run(&label, "scaling", shape_seed(params, shape), r);
+        }
+    }
     let shapes_out = shapes
         .iter()
         .enumerate()
         .map(|(s, shape)| {
-            let seed = params.seed ^ ((shape.fp as u64) << 24 | (shape.int as u64) << 16 | shape.threads as u64);
-            let specs = sample_workloads(shape.threads, seed);
+            let specs = sample_workloads(shape.threads, shape_seed(params, shape));
             let runs = &results[s * schedulers.len()..(s + 1) * schedulers.len()];
             // The static baseline for vs-static ratios on this shape.
             let static_ppw: Option<Vec<f64>> = schedulers

@@ -77,6 +77,60 @@ impl Hist {
     }
 }
 
+/// A plain (non-atomic) histogram for a hot loop that would otherwise
+/// hit a shared [`Hist`] on every event: record locally, then
+/// [`flush`](LocalHist::flush) once when the loop ends. The flushed
+/// totals equal recording each sample directly.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LocalHist {
+    count: u64,
+    sum: u64,
+    buckets: [u64; BUCKETS],
+}
+
+impl Default for LocalHist {
+    fn default() -> Self {
+        LocalHist {
+            count: 0,
+            sum: 0,
+            buckets: [0; BUCKETS],
+        }
+    }
+}
+
+impl LocalHist {
+    /// Record one sample.
+    #[inline]
+    pub fn record(&mut self, v: u64) {
+        self.count += 1;
+        self.sum = self.sum.wrapping_add(v);
+        self.buckets[bucket_index(v)] += 1;
+    }
+
+    /// Samples recorded so far.
+    pub fn count(&self) -> u64 {
+        self.count
+    }
+
+    /// Add the sample count to the counter `counter` and the samples to
+    /// the histogram `hist`. Registers nothing when no sample was
+    /// recorded, so an idle loop leaves the registry as if it never ran.
+    pub fn flush(&self, counter_name: &'static str, hist_name: &'static str) {
+        if self.count == 0 {
+            return;
+        }
+        counter(counter_name).add(self.count);
+        let h = hist(hist_name);
+        h.count.fetch_add(self.count, Ordering::Relaxed);
+        h.sum.fetch_add(self.sum, Ordering::Relaxed);
+        for (b, &n) in h.buckets.iter().zip(&self.buckets) {
+            if n > 0 {
+                b.fetch_add(n, Ordering::Relaxed);
+            }
+        }
+    }
+}
+
 /// The bucket a sample lands in: 0 for `v == 0`, else `64 - clz(v)`.
 pub fn bucket_index(v: u64) -> usize {
     if v == 0 {
@@ -534,6 +588,30 @@ mod tests {
         // Bucket for value 2 held one sample before, two after: delta 1.
         assert!(dh.buckets.contains(&(2, 3, 1)));
         assert!(dh.buckets.contains(&(64, 127, 1)));
+    }
+
+    #[test]
+    fn local_hist_flush_equals_direct_recording() {
+        let direct = hist("test.metrics.local_direct_hist");
+        let mut local = LocalHist::default();
+        for v in [0u64, 1, 3, 3, 900, u64::MAX] {
+            direct.record(v);
+            counter("test.metrics.local_direct_count").add(1);
+            local.record(v);
+        }
+        assert_eq!(local.count(), 6);
+        local.flush("test.metrics.local_flushed_count", "test.metrics.local_flushed_hist");
+        let snap = snapshot();
+        let h = |name: &str| snap.hists.iter().find(|h| h.name == name).cloned().expect("registered");
+        let (a, b) = (h("test.metrics.local_direct_hist"), h("test.metrics.local_flushed_hist"));
+        assert_eq!((a.count, a.sum, a.buckets), (b.count, b.sum, b.buckets));
+        let c = |name: &str| snap.counters.iter().find(|(n, _)| n == name).map(|(_, v)| *v);
+        assert_eq!(c("test.metrics.local_flushed_count"), Some(6));
+        // An empty flush registers nothing.
+        LocalHist::default().flush("test.metrics.local_idle_count", "test.metrics.local_idle_hist");
+        let snap = snapshot();
+        assert!(snap.counters.iter().all(|(n, _)| n != "test.metrics.local_idle_count"));
+        assert!(snap.hists.iter().all(|h| h.name != "test.metrics.local_idle_hist"));
     }
 
     #[test]

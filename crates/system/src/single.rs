@@ -156,6 +156,9 @@ impl SingleCoreRunner {
         // are provably the no-op pattern [`Core::fast_forward`]
         // replicates, certified by one event scan after an idle tick.
         let mut quiet_until = 0u64;
+        // Skips are tallied locally and flushed once at the end, not
+        // counted on shared process-global instruments per skip.
+        let mut skips = ampsched_obs::metrics::LocalHist::default();
         // Scan gate: isolated commit-free cycles are common dependency
         // bubbles; two in a row signal a real stall region worth a scan.
         let mut idle_streak = false;
@@ -172,8 +175,7 @@ impl SingleCoreRunner {
                     .min(max_cycles - 1);
                 if target > cycle {
                     self.core.fast_forward(cycle, target - cycle);
-                    ampsched_obs::counter!("sim.skip.single");
-                    ampsched_obs::hist!("sim.skip.single_cycles", target - cycle);
+                    skips.record(target - cycle);
                     cycle = target;
                     while next_sample <= cycle {
                         record_sample(&self.core, next_sample);
@@ -224,6 +226,7 @@ impl SingleCoreRunner {
                 iv_start_mix = self.core.stats.committed;
             }
         }
+        skips.flush("sim.skip.single", "sim.skip.single_cycles");
         // Settle the tail.
         let j = self.energy.account(&self.core.activity.take());
         total_joules += j;
