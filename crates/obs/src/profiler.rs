@@ -90,6 +90,21 @@ pub fn record(sample: PipeSample) {
     buf.push(sample);
 }
 
+/// How many more samples [`record`] buffers before it starts dropping.
+/// A caller that holds samples back to record them later can stop
+/// holding at this many: the rest would be dropped anyway.
+pub fn remaining() -> usize {
+    MAX_SAMPLES.saturating_sub(sample_count())
+}
+
+/// Count `n` samples as dropped without offering them to [`record`]:
+/// for callers that stopped holding samples at [`remaining`].
+pub fn count_dropped(n: u64) {
+    if n > 0 {
+        crate::counter!("obs.profiler.dropped", n);
+    }
+}
+
 /// Copy of every buffered sample, in recording order.
 pub fn snapshot() -> Vec<PipeSample> {
     samples().lock().expect("profiler buffer lock").clone()
@@ -283,6 +298,7 @@ mod tests {
         }
         set_interval(0);
         assert_eq!(sample_count(), 6);
+        assert_eq!(remaining(), MAX_SAMPLES - 6);
         let summaries = summarize();
         assert_eq!(summaries.len(), 2);
         for (i, c) in summaries.iter().enumerate() {
